@@ -69,8 +69,9 @@ TARGETS = {
     # per-table write+fsync; the floor keeps most of that win.
     "compaction_mb_per_sec_min": 650.0,
     # Gateway saturation sweep: every leg — including the 2048-client
-    # point — must finish inside this wall-clock budget (measured ~2.5 s
-    # at the sweep's largest point on the committing machine).  The
+    # point — must finish inside this wall-clock budget (legs measured
+    # 0.2-1.5 s on the committing machine, the 2048-client point the
+    # slowest; the budget leaves ~3x for slower CI hosts).  The
     # saturated throughput (simulated, deterministic) must hold the
     # group-commit ratchet: >= 1.5x the old 172.7k per-command plateau
     # (measured ~527k with the coalescer, so the floor keeps most of the
@@ -79,7 +80,7 @@ TARGETS = {
     # sweep point must stay below the PR-9 curve's 0.0475 s — measured
     # 0.0160 s with group commit, gated at 0.020 s so batching can never
     # buy throughput with invisible tail-latency regressions.
-    "gateway_leg_wall_max_seconds": 30.0,
+    "gateway_leg_wall_max_seconds": 5.0,
     "gateway_throughput_min": 260_000.0,
     "gateway_p999_rtt_max_seconds": 0.020,
 }
@@ -120,6 +121,7 @@ def microbench_once(procs: int = 32, iters: int = 400) -> tuple[int, float]:
             res.release(req)
             store.put(k)
             yield store.get()
+            # Spawned on purpose: this stresses the kernel's spawn path.
             yield engine.process(child())
 
     for i in range(procs):

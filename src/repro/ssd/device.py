@@ -144,7 +144,10 @@ class BlockSSD:
 
         Completes when the payload is in the (power-protected) write cache;
         destaging to NAND happens in the background.  Writes overlapping a
-        BA-pinned range are gated by the LBA checker (§III-A2).
+        BA-pinned range are gated by the LBA checker (§III-A2).  A write
+        larger than the cache is admitted in chunks of at most its
+        capacity, each waiting for room; the command latency is paid once,
+        with the first chunk.
         """
         npages = self._page_count(len(data))
         self._check_range(lpn, npages)
@@ -153,21 +156,30 @@ class BlockSSD:
         slot = self._cmd_slots.request()
         yield slot
         try:
-            while self.dirty_cache_pages + npages > self._cache_capacity_pages:
-                waiter = self.engine.event()
-                self._drain_waiters.append(waiter)
-                yield waiter
+            chunk = min(npages, self._cache_capacity_pages)
+            yield from self._cache_room(chunk)
             yield self.engine.timeout(
                 self._jittered(self.profile.write_latency(len(data))))
-            for index in range(npages):
-                page = data[index * self.page_size:(index + 1) * self.page_size]
-                if len(page) < self.page_size:
-                    page = page + bytes(self.page_size - len(page))
-                self._cache_insert(lpn + index, page)
+            for first in range(0, npages, chunk):
+                if first:
+                    yield from self._cache_room(min(chunk, npages - first))
+                for index in range(first, min(first + chunk, npages)):
+                    page = data[index * self.page_size:(index + 1) * self.page_size]
+                    if len(page) < self.page_size:
+                        page = page + bytes(self.page_size - len(page))
+                    self._cache_insert(lpn + index, page)
         finally:
             self._cmd_slots.release(slot)
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
+        return None
+
+    def _cache_room(self, npages: int) -> Iterator[Event]:
+        """Process: wait until ``npages`` more pages fit in the write cache."""
+        while self.dirty_cache_pages + npages > self._cache_capacity_pages:
+            waiter = self.engine.event()
+            self._drain_waiters.append(waiter)
+            yield waiter
         return None
 
     def read(self, lpn: int, nbytes: int) -> Iterator[Event]:
@@ -217,7 +229,7 @@ class BlockSSD:
     def fsync(self) -> Iterator[Event]:
         """Process: what a host fsync() costs — FLUSH plus filesystem overhead."""
         yield self.engine.timeout(self.profile.fs_sync_overhead)
-        yield self.engine.process(self.flush())
+        yield from self.flush()
         return None
 
     def drain(self) -> Iterator[Event]:

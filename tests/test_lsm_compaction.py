@@ -315,3 +315,69 @@ class TestStalledWriteFallbackBatch:
         assert ftl._fallback_batch is not None
         ftl.reboot()
         assert ftl._fallback_batch is None
+
+
+class SlowOutputStorage(MemoryTableStorage):
+    """Memory storage whose batched compaction-output write is slow, so a
+    memtable flush (a single fast ``write_table``) lands while the
+    compaction's outputs are still being written."""
+
+    OUTPUT_WRITE_SECONDS = 2e-3
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.writing_outputs = False
+        self.flushes_during_output_write = 0
+
+    def write_table(self, file_id, blob):
+        if self.writing_outputs:
+            self.flushes_during_output_write += 1
+        yield from super().write_table(file_id, blob)
+
+    def write_tables(self, blobs):
+        self.writing_outputs = True
+        try:
+            yield self.engine.timeout(self.OUTPUT_WRITE_SECONDS)
+            for file_id, blob in blobs:
+                yield from super().write_table(file_id, blob)
+        finally:
+            self.writing_outputs = False
+
+
+class TestCompactionKeepsConcurrentFlushes:
+    """A memtable flush that finishes during a compaction's output write
+    appends a new L0 table; the compaction must keep it (only its own
+    inputs leave L0), or GETs fall through to older values."""
+
+    def test_every_get_matches_model(self):
+        platform = Platform(ba_params=small_ba_params(64))
+        engine = platform.engine
+        wal = BlockWAL(engine, platform.add_block_ssd(ULL_SSD), platform.cpu,
+                       area_pages=4096)
+        storage = SlowOutputStorage(engine)
+        tree = LSMTree(engine, wal, storage, memtable_bytes=512,
+                       l0_compaction_trigger=2, rng=RngStreams(3))
+        rng = random.Random(11)
+        model = {}
+
+        def scenario():
+            for i in range(600):
+                key = f"k{rng.randrange(200):03d}"
+                value = b"v%05d" % i
+                yield from tree.put(key, value)
+                model[key] = value
+
+        engine.run_process(scenario())
+        engine.run()
+        assert storage.flushes_during_output_write > 0
+        assert tree.compaction_count > 0
+
+        def reads():
+            got = {}
+            for key in sorted(model):
+                got[key] = yield from tree.get(key)
+            return got
+
+        got = engine.run_process(reads())
+        stale = {key for key in model if got[key] != model[key]}
+        assert not stale, f"{len(stale)} stale GETs, e.g. {sorted(stale)[:3]}"

@@ -30,6 +30,7 @@ MUTANTS = {
     "mut_yield_in_finally.py": "GEN003",
     "mut_unguarded_die_dict.py": "LOCK001",
     "mut_release_then_yield_mutate.py": "LOCK001",
+    "mut_yield_from_barrier_dropped.py": "DUR001",
 }
 
 
@@ -56,6 +57,13 @@ class TestMutants:
 
     def test_clean_fixture_has_zero_findings(self):
         findings = scan_paths([FIXTURES / "clean_commit.py"])
+        assert findings == [], "\n".join(f.format() for f in findings)
+
+    def test_barriers_reached_through_yield_from_are_seen(self):
+        # Sub-steps run inline via ``yield from``: the clean delegation
+        # chain must prove durable, and its mutant (delegated barrier
+        # dropped before the ack) must be caught (see MUTANTS).
+        findings = scan_paths([FIXTURES / "clean_yield_from_barrier.py"])
         assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_mutants_jointly_exercise_every_rule(self):

@@ -1,5 +1,7 @@
 """Unit tests for device profiles and the block SSD."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import Engine, RngStreams
@@ -72,6 +74,28 @@ class TestBlockSSD:
             return (yield engine.process(ssd.read(5, len(payload))))
 
         assert engine.run_process(scenario()) == payload
+
+    def test_write_larger_than_cache_is_admitted_in_chunks(self):
+        page = ULL_SSD.geometry.page_size
+        profile = dataclasses.replace(ULL_SSD, cache_bytes=8 * page)
+        engine, ssd = make_ssd(profile)
+        data = b"".join(bytes([i]) * page for i in range(16))  # 2x the cache
+        peak = []
+
+        def scenario():
+            writer = engine.process(ssd.write(0, data))
+            for _ in range(10_000):
+                if writer.processed:
+                    break
+                peak.append(ssd.dirty_cache_pages)
+                yield engine.timeout(USEC)
+            assert writer.processed, "write larger than the cache never completed"
+            return (yield engine.process(ssd.read(0, len(data))))
+
+        assert engine.run_process(scenario()) == data
+        assert max(peak) <= 8
+        engine.run_process(ssd.drain())
+        assert engine.run_process(ssd.read(0, len(data))) == data
 
     def test_unwritten_reads_zero(self):
         engine, ssd = make_ssd()
